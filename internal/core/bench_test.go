@@ -311,3 +311,45 @@ func sampleObjects(k, n int) []tracker.ObjectID {
 	}
 	return out
 }
+
+// BenchmarkMoveQuiescent measures the move-quiescence check every Settle
+// ends with (tracker.Network.MoveQuiescent, the Theorem 4.5 termination
+// test) at production fan-out: 10⁵ objects bulk-attached on a 32x32 grid
+// with batched C-gcast, settled (untimed), then the check alone per
+// iteration. Its cost must not grow with the tracked population.
+func BenchmarkMoveQuiescent(b *testing.B) {
+	const side, k = 32, 100000
+	svc, err := core.New(core.Config{
+		Width:           side,
+		AlwaysAliveVSAs: true,
+		FormulaGeometry: true,
+		BatchCgcast:     true,
+		Start:           geo.RegionID(side*side/2 + side/2),
+		Seed:            11,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	regions := svc.Tiling().NumRegions()
+	placements := make([]core.ObjectPlacement, k)
+	for i := range placements {
+		placements[i] = core.ObjectPlacement{
+			Obj:   tracker.ObjectID(i + 1),
+			Start: geo.RegionID((i * 37) % regions),
+		}
+	}
+	if _, err := svc.AddObjects(placements); err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.Settle(); err != nil {
+		b.Fatal(err)
+	}
+	net := svc.Network()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !net.MoveQuiescent() {
+			b.Fatal("settled service not move-quiescent")
+		}
+	}
+}

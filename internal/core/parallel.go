@@ -30,7 +30,8 @@ const parallelHomeShards = 8
 // (Theorem 4.9, pinned by the PR-9 object-sharding proofs), so the union of
 // the K stacks' settled states is byte-identical to one stack tracking all
 // objects: Founds, merged region encodings (MergeRegionEncodings), and the
-// merged metrics ledger are all invariant in K.
+// merged metrics ledger are all invariant in K — the ledger only without
+// BatchCgcast, whose frames are per stack (see Steps).
 //
 // Global state is gone from the hot path by construction: each stack owns a
 // shard-local metrics.Ledger (merged deterministically on demand), its own
@@ -195,9 +196,18 @@ func (ps *ParallelService) Evader() *evader.Evader {
 // Now returns the provably-reached engine time.
 func (ps *ParallelService) Now() sim.Time { return ps.eng.Now() }
 
-// Steps returns the total events processed across all stacks — the same
-// count the sequential service's kernel reports for the same program, at
-// every K (the event multiset is partitioned, not changed).
+// Steps returns the kernel events executed so far, summed over the engine
+// shards: every event of the K replica stacks, plus one engine event per
+// find input (FindObject injects each find at its home stack as an engine
+// event, where the sequential service calls the client directly).
+//
+// Without BatchCgcast the stacks execute the sequential program's events
+// partitioned, so Steps is the same at every K and exceeds the sequential
+// kernel's count by the number of finds issued. With BatchCgcast each
+// stack batches only the messages of the objects it homes: a frame that
+// one kernel shares among objects homed on different stacks is sent once
+// per stack, so Steps — like the merged ledger's frame count — grows with
+// K (TestParallelTrackerStepsRelation pins both relations).
 func (ps *ParallelService) Steps() uint64 { return ps.eng.Steps() }
 
 // AddObjects bulk-attaches objects across the stacks: placements are split

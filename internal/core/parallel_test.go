@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"vinestalk/internal/chaos"
+	"vinestalk/internal/evader"
 	"vinestalk/internal/geo"
 	"vinestalk/internal/trace"
 	"vinestalk/internal/tracker"
@@ -230,6 +232,141 @@ func TestParallelTrackerStepsInvariant(t *testing.T) {
 		if got := runParallelScenario(t, k); got.steps != base.steps {
 			t.Errorf("K=%d: %d engine steps, K=1 ran %d", k, got.steps, base.steps)
 		}
+	}
+}
+
+// stepsTracker is the API surface the steps scenario drives, shared by the
+// sequential service and the parallel tracker.
+type stepsTracker interface {
+	AddObjects([]ObjectPlacement) (map[tracker.ObjectID]*evader.Evader, error)
+	FindObject(geo.RegionID, tracker.ObjectID) (tracker.FindID, error)
+	Settle() error
+	Tiling() *geo.GridTiling
+	Founds() []tracker.FindResult
+}
+
+// stepsRun is what one steps scenario run observed: the kernel events of
+// the move and find phases, and the founds.
+type stepsRun struct {
+	moves, finds uint64
+	founds       []tracker.FindResult
+}
+
+// runStepsScenario drives the input the Steps doc is pinned on: a 16×16
+// grid, 4,096 objects bulk-attached at seeded random regions, then three
+// rounds of 512 seeded one-hop moves (settled) and 256 finds from seeded
+// random origins (settled). k = 0 runs the sequential service, k > 0 the
+// parallel tracker at K = k.
+func runStepsScenario(t *testing.T, k int, batch bool) stepsRun {
+	t.Helper()
+	cfg := parallelCfg()
+	cfg.BatchCgcast = batch
+	cfg.CountFrames = !batch
+	cfg.ParallelTracker = k
+	var tr stepsTracker
+	var steps func() uint64
+	if k == 0 {
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, steps = svc, svc.Kernel().Steps
+	} else {
+		ps, err := NewParallel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, steps = ps, ps.Steps
+	}
+	rng := rand.New(rand.NewSource(1))
+	placements := make([]ObjectPlacement, 4096)
+	for i := range placements {
+		placements[i] = ObjectPlacement{Obj: tracker.ObjectID(i + 1), Start: geo.RegionID(rng.Intn(256))}
+	}
+	if err := tr.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := tr.AddObjects(placements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	var run stepsRun
+	for round := 0; round < 3; round++ {
+		s0 := steps()
+		for i := 0; i < 512; i++ {
+			ev := evs[tracker.ObjectID(1+rng.Intn(len(placements)))]
+			nbrs := tr.Tiling().Neighbors(ev.Region())
+			if err := ev.MoveTo(nbrs[rng.Intn(len(nbrs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		s1 := steps()
+		for i := 0; i < 256; i++ {
+			u, obj := geo.RegionID(rng.Intn(256)), tracker.ObjectID(1+rng.Intn(len(placements)))
+			if _, err := tr.FindObject(u, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		run.moves += s1 - s0
+		run.finds += steps() - s1
+	}
+	run.founds = tr.Founds()
+	sort.Slice(run.founds, func(i, j int) bool { return run.founds[i].ID < run.founds[j].ID })
+	if len(run.founds) != 3*256 {
+		t.Fatalf("K=%d batch=%v: %d founds, want %d", k, batch, len(run.founds), 3*256)
+	}
+	return run
+}
+
+// TestParallelTrackerStepsRelation pins what ParallelService.Steps counts
+// on a 4,096-object input. Unbatched, the stacks execute the sequential
+// run's events partitioned plus one engine event per find input, at every
+// K. Batched, each stack batches only its own objects' messages, so the
+// count grows with K while the moves at K = 1 match the sequential run
+// event for event; the finds, whose inputs enter as engine events (δ later
+// when issued outside the object's home band), batch differently even at
+// K = 1. The founds never change.
+func TestParallelTrackerStepsRelation(t *testing.T) {
+	const findsIssued = 3 * 256
+	seq := runStepsScenario(t, 0, false)
+	for _, k := range []int{1, 8} {
+		par := runStepsScenario(t, k, false)
+		if par.moves != seq.moves || par.finds != seq.finds+findsIssued {
+			t.Errorf("unbatched K=%d: %d move + %d find steps, want %d + %d (sequential plus one per find input)",
+				k, par.moves, par.finds, seq.moves, seq.finds+findsIssued)
+		}
+		if !reflect.DeepEqual(par.founds, seq.founds) {
+			t.Errorf("unbatched K=%d: founds differ from sequential", k)
+		}
+	}
+
+	seqB := runStepsScenario(t, 0, true)
+	prev := stepsRun{}
+	for _, k := range []int{1, 2, 8} {
+		par := runStepsScenario(t, k, true)
+		if k == 1 && par.moves != seqB.moves {
+			t.Errorf("batched K=1: %d move steps, sequential ran %d", par.moves, seqB.moves)
+		}
+		if par.finds <= seqB.finds {
+			t.Errorf("batched K=%d: %d find steps, want more than sequential %d", k, par.finds, seqB.finds)
+		}
+		if k > 1 && (par.moves <= prev.moves || par.finds <= prev.finds) {
+			t.Errorf("batched K=%d: %d move + %d find steps, want both above the smaller K's %d + %d",
+				k, par.moves, par.finds, prev.moves, prev.finds)
+		}
+		if !reflect.DeepEqual(par.founds, seqB.founds) {
+			t.Errorf("batched K=%d: founds differ from sequential", k)
+		}
+		prev = par
 	}
 }
 

@@ -31,6 +31,8 @@ type Automaton struct {
 	procs   []*Process
 	backups []*Process // per cluster, nil without replication or alt head
 	regions map[geo.RegionID]*dispatcher
+
+	armedGS int // armed grow/shrink timers over every process (Process.armedGS)
 }
 
 var _ vsa.Automaton = (*Automaton)(nil)
@@ -165,7 +167,7 @@ func (a *Automaton) TimerFire(u geo.RegionID, id vsa.TimerID, at sim.Time) {
 	}
 	// Like sim.Timer, the deadline reads as ∞ inside the handler (the
 	// handler may re-arm it).
-	slot.at = sim.Forever
+	slot.record(sim.Forever)
 	switch kind {
 	case timerGrowShrink:
 		st.onTimer()
@@ -204,7 +206,7 @@ func (a *Automaton) dropRegionState(u geo.RegionID) {
 		return
 	}
 	for _, level := range d.levels {
-		d.byLevel[level].objs.clear()
+		d.byLevel[level].setObjs(nil)
 	}
 }
 

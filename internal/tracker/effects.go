@@ -81,9 +81,9 @@ func (n *Network) execSend(e sendEffect) {
 	}
 	key := Transit{Obj: e.Obj, Kind: e.Kind, From: e.From, To: e.To}
 	copies := n.cg.Copies(e.To)
-	n.inflight[key] += copies
+	n.addInflight(key, copies)
 	if err := n.cg.ClusterToClusterFrom(src, e.From, e.To, e.Kind, envelope{Obj: e.Obj, Body: e.Body}); err != nil {
-		n.inflight[key] -= copies
+		n.dropInflight(key, copies)
 		return
 	}
 	if n.objNote != nil {

@@ -343,7 +343,7 @@ func (a *Automaton) DecodeRegion(u geo.RegionID, state []byte) error {
 	// Commit only after a fully successful parse. The objects decoded in
 	// strictly ascending order are exactly the sorted table invariant.
 	for _, dp := range decoded {
-		dp.pr.objs = objTable{s: dp.objs}
+		dp.pr.setObjs(dp.objs)
 	}
 	return nil
 }

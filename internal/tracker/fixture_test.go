@@ -96,12 +96,14 @@ func newFixture(t testing.TB, cfg fixtureConfig) *fixture {
 }
 
 // settle runs the kernel until the event queue drains (heartbeat-free
-// fixtures) with a livelock guard.
+// fixtures) with a livelock guard, and cross-checks the move-quiescence
+// counters against a full scan of the state they summarize.
 func (f *fixture) settle() {
 	f.t.Helper()
 	if _, err := f.k.RunLimited(2_000_000); err != nil {
 		f.t.Fatalf("simulation did not settle: %v", err)
 	}
+	assertMoveCounters(f.t, f.net)
 	if !f.net.MoveQuiescent() {
 		f.t.Fatal("event queue drained but network not move-quiescent")
 	}

@@ -73,6 +73,11 @@ type Network struct {
 	clients  map[vsa.ClientID]*Client
 
 	inflight map[Transit]int
+	// moveInflight is the sum of inflight's counts over move-family keys
+	// (moveKind), kept in step with the map by addInflight/dropInflight so
+	// MoveQuiescent need not range over it.
+	moveInflight int
+
 	findSeq  FindID
 	started  map[FindID]sim.Time
 	done     map[FindID]bool
@@ -301,9 +306,9 @@ func (n *Network) BackupProcess(c hier.ClusterID) *Process {
 // sendFromClient transmits a client message to a level-0 cluster.
 func (n *Network) sendFromClient(obj ObjectID, id vsa.ClientID, to hier.ClusterID, kind string, body any) error {
 	key := Transit{Obj: obj, Kind: kind, From: hier.NoCluster, To: to}
-	n.inflight[key]++
+	n.addInflight(key, 1)
 	if err := n.cg.ClientToCluster(id, to, kind, envelope{Obj: obj, Body: body}); err != nil {
-		n.inflight[key]--
+		n.dropInflight(key, 1)
 		return err
 	}
 	if n.tr.Enabled() {
@@ -348,12 +353,44 @@ func (n *Network) noteDelivered(d cgcast.Delivery, to hier.ClusterID) {
 		return
 	}
 	key := Transit{Obj: env.Obj, Kind: d.Kind, From: d.From, To: to}
-	if n.inflight[key] > 0 {
-		n.inflight[key]--
-		if n.inflight[key] == 0 {
-			delete(n.inflight, key)
-		}
+	n.dropInflight(key, 1)
+}
+
+// addInflight puts d copies of a sent message on the in-transit registry.
+func (n *Network) addInflight(key Transit, d int) {
+	n.inflight[key] += d
+	if moveKind(key.Kind) {
+		n.moveInflight += d
 	}
+}
+
+// dropInflight takes up to d copies of key off the in-transit registry (a
+// failed send's rollback, or one delivery), deleting the key when none are
+// left so the map holds only messages actually in flight.
+func (n *Network) dropInflight(key Transit, d int) {
+	c := n.inflight[key]
+	d = min(d, c)
+	if d == 0 {
+		return
+	}
+	if c == d {
+		delete(n.inflight, key)
+	} else {
+		n.inflight[key] = c - d
+	}
+	if moveKind(key.Kind) {
+		n.moveInflight -= d
+	}
+}
+
+// moveKind reports whether messages of a kind count as move traffic for
+// MoveQuiescent: every kind but the find family and the heartbeat refresh.
+func moveKind(kind string) bool {
+	switch kind {
+	case KindFind, KindFindQuery, KindFindAck, KindRefresh:
+		return false
+	}
+	return true
 }
 
 // AddClient installs a tracker client (sensor node) with the given id at
@@ -522,26 +559,13 @@ func (n *Network) reportFound(obj ObjectID, p FindPayload, at geo.RegionID) {
 }
 
 // MoveQuiescent reports whether all move-related activity has settled: no
-// grow/shrink-family messages in flight and no armed grow/shrink timers.
-// Experiments use it to detect that a move's updates terminated (Thm 4.5).
+// grow/shrink-family messages in flight and no armed grow/shrink timers at
+// any process, primary or backup. Experiments use it to detect that a
+// move's updates terminated (Thm 4.5). Both conditions are counters kept
+// in step with the state they summarize, so the check is O(1) however many
+// objects are tracked.
 func (n *Network) MoveQuiescent() bool {
-	for key, cnt := range n.inflight {
-		if cnt > 0 && key.Kind != KindFind && key.Kind != KindFindQuery &&
-			key.Kind != KindFindAck && key.Kind != KindRefresh {
-			return false
-		}
-	}
-	for _, pr := range n.aut.procs {
-		if pr.Busy() {
-			return false
-		}
-	}
-	for _, pr := range n.aut.backups {
-		if pr != nil && pr.Busy() {
-			return false
-		}
-	}
-	return true
+	return n.moveInflight == 0 && n.aut.armedGS == 0
 }
 
 // InTransit returns the in-flight protocol messages (sorted, for

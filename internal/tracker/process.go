@@ -31,6 +31,10 @@ type Process struct {
 	region geo.RegionID // the head region hosting this replica
 	level  int
 	backup bool // replica at the alternate head (§VII quorum extension)
+	// armedGS counts this process's state vectors whose grow/shrink timer
+	// is armed; it rolls up into Automaton.armedGS (see timerSlot.record).
+	// An int32 beside backup fits the struct's padding.
+	armedGS int32
 
 	objs objTable
 }
@@ -105,9 +109,6 @@ func (t *objTable) remove(obj ObjectID) {
 // len returns the number of live state vectors.
 func (t *objTable) len() int { return len(t.s) }
 
-// clear drops every state vector.
-func (t *objTable) clear() { t.s = nil }
-
 // objState is one object's Fig. 2 state vector at this process. Field
 // names mirror the figure: c (child pointer), p (path parent), nbrptup and
 // nbrptdown (secondary tracking pointers), the single grow/shrink timer,
@@ -147,7 +148,7 @@ type timerSlot struct {
 
 // Set arms the slot to fire at absolute virtual time at; Forever clears.
 func (t *timerSlot) Set(at sim.Time) {
-	t.at = at
+	t.record(at)
 	pr := t.st.pr
 	id := packTimerID(pr.level, t.st.obj, t.kind)
 	if at == sim.Forever {
@@ -155,6 +156,23 @@ func (t *timerSlot) Set(at sim.Time) {
 		return
 	}
 	pr.aut.host.SetTimer(pr.region, id, at)
+}
+
+// record writes the slot's deadline without telling the host, keeping the
+// armed grow/shrink counters of the process and the automaton in step:
+// move-quiescence (Network.MoveQuiescent) reads them instead of scanning
+// every object state.
+func (t *timerSlot) record(at sim.Time) {
+	if t.kind == timerGrowShrink {
+		if was, now := t.Armed(), at != sim.Forever; was != now {
+			d := int32(1)
+			if was {
+				d = -1
+			}
+			t.st.pr.addArmedGS(d)
+		}
+	}
+	t.at = at
 }
 
 // SetAfter arms the slot delay after the current time, saturating at ∞.
@@ -245,6 +263,25 @@ func (st *objState) slot(kind timerKind) *timerSlot {
 	return nil
 }
 
+// addArmedGS moves the armed grow/shrink counters by d.
+func (pr *Process) addArmedGS(d int32) {
+	pr.armedGS += d
+	pr.aut.armedGS += int(d)
+}
+
+// setObjs replaces the object table wholesale (a decoded checkpoint, or
+// nil to drop the state) and recounts its armed grow/shrink timers.
+func (pr *Process) setObjs(objs []*objState) {
+	armed := int32(0)
+	for _, st := range objs {
+		if st.timer.Armed() {
+			armed++
+		}
+	}
+	pr.addArmedGS(armed - pr.armedGS)
+	pr.objs = objTable{s: objs}
+}
+
 // reset returns the process to its initial state (VSA failure/restart),
 // clearing armed deadlines through the host.
 func (pr *Process) reset() {
@@ -254,7 +291,7 @@ func (pr *Process) reset() {
 		st.lease.Clear()
 		st.nbrLease.Clear()
 	}
-	pr.objs.clear()
+	pr.setObjs(nil)
 }
 
 // Cluster returns the cluster this process tracks for.
@@ -287,14 +324,7 @@ func (pr *Process) LiveObjects() int { return pr.objs.len() }
 
 // Busy reports whether the process holds move-related obligations (an
 // armed grow/shrink timer for any object); used for quiescence detection.
-func (pr *Process) Busy() bool {
-	for _, st := range pr.objs.s {
-		if st.timer.Armed() {
-			return true
-		}
-	}
-	return false
-}
+func (pr *Process) Busy() bool { return pr.armedGS > 0 }
 
 // receive dispatches a C-gcast delivery to the Fig. 2 input actions of the
 // addressed object's state vector.
